@@ -6,14 +6,12 @@ import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
-  * ``assertEquivalent(sparkDf, sql, tables)`` runs ``sql`` on DuckDB
-  * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
-  * match ``sparkDf``. This catches wrong results from a rewritten plan
-  * or a custom operator — "it ran" is not "it is correct".
-  *
-  * Alias every output column identically on both sides (Spark names
-  * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
-  * to scalar columns — array/map/struct are not comparable here.
+  * ``assertEquivalent(sparkDf, sql, tables)`` loads ``tables`` into an in-process
+  * DuckDB (via JDBC), runs ``sql`` there and requires its sorted rows to equal
+  * ``sparkDf``'s. `OracleSpec` uses it with a recursive CTE that enumerates every
+  * temporal simple path, an independent ground truth for the tspG edge and vertex
+  * sets (DESIGN.md §2.4). Both sides must name their output columns identically and
+  * project scalar columns only.
   */
 object Oracle {
 

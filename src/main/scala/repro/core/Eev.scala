@@ -2,6 +2,12 @@ package repro.core
 
 import scala.collection.mutable
 
+/** Counters from the most recent [[Eev.apply]] run (single-threaded; for diagnostics
+  * and the benchmark's visibility into where verification effort goes).
+  */
+final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
+                          dfsSearches: Int, escalations: Int, negatives: Int)
+
 /** Escaped Edges Verification (paper Algorithms 6 & 7).
   *
   * Generates the exact tspG from the tight upper-bound graph `Gt` without enumerating
@@ -16,11 +22,12 @@ import scala.collection.mutable
   *      keeping timestamps strictly ascending (Lemma 11), is confirmed in one batch.
   *   3. Edges whose search fails lie on no temporal simple path and are dropped.
   *
-  * The bidirectional DFS implements both of the paper's optimizations — the
-  * potentially *shorter* half-path is searched first (`τ − τb > τe − τ` ⇒ forward
-  * first) and neighbors are explored in temporal order (out-neighbors non-ascending,
-  * in-neighbors non-descending) — plus three engineering safeguards that preserve
-  * exactness while taming the exponential worst case (Theorem 5) on dense windows:
+  * The bidirectional DFS implements both of the paper's optimizations — search-
+  * direction prioritization (inverted here: the half with the larger window goes
+  * first, see `Search.run`) and neighbors explored in temporal order (out-neighbors
+  * non-ascending, in-neighbors non-descending) — plus three engineering safeguards
+  * that preserve exactness while taming the exponential worst case (Theorem 5) on
+  * dense windows:
   *
   *   - *Reachability gates*: a forward step into `x` at time `τ` is only taken when
   *     `τ < D(x)` (departures on `Gt`), a backward step from `x` only when `τ > A(x)`
@@ -34,17 +41,15 @@ import scala.collection.mutable
   *     with per-seed polarity times that additionally avoid the seed's endpoints
   *     (`A` avoiding `{t, v}`, `D` avoiding `{s, u}`) — these exactly refute the
   *     common pathological case where e.g. every continuation `v ⇝ t` passes through
-  *     `u`, and tighten the gates for the rest.
+  *     `u`, and tighten the gates for the rest — and, failing that, by the same search
+  *     anchored at `s` and `t` instead of the seed ([[anchoredSearch]]).
+  *
+  * Both the seed-anchored and the `s`/`t`-anchored search are one [[Search]] class,
+  * parameterized by where each half starts, where it ends and which gates it uses.
   *
   * Searching inside `Gt` is complete because every temporal simple path `s ⇝ t` lies
   * entirely within `tspG ⊆ Gt`.
   */
-/** Counters from the most recent [[Eev.apply]] run (single-threaded; for diagnostics
-  * and the bench suites' visibility into where verification effort goes).
-  */
-final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
-                          dfsSearches: Int, escalations: Int, negatives: Int)
-
 object Eev {
 
   /** Stage-1 node-expansion budget before escalating to per-seed gates.
@@ -54,9 +59,6 @@ object Eev {
 
   /** Stats of the most recent run (not thread-safe; diagnostics only). */
   @volatile var lastStats: EevStats = EevStats(0, 0, 0, 0, 0, 0)
-
-  /** When true, slow escalated searches are reported on stderr (diagnostics only). */
-  @volatile var debug: Boolean = false
 
   def apply(gt: TemporalGraph, q: TspgQuery): Subgraph = {
     val verified = mutable.HashSet.empty[TEdge]
@@ -81,10 +83,8 @@ object Eev {
     }
 
     // --- Verification loop (lines 6–19); gt.edges is already ts-ascending ------------
-    val (arrGt, arrPar) =
-      PolarityTime.earliestArrivalsWithParents(gt, q.s, q.tauB, q.tauE, q.t, -1)
-    val (depGt, depPar) =
-      PolarityTime.latestDeparturesWithParents(gt, q.t, q.tauB, q.tauE, q.s, -1)
+    val (arrGt, arrPar) = PolarityTime.earliestArrivals(gt, q.s, q.tauB, q.tauE, q.t, -1)
+    val (depGt, depPar) = PolarityTime.latestDepartures(gt, q.t, q.tauB, q.tauE, q.s, -1)
 
     val preVerified = verified.size
     var treeHits    = 0
@@ -280,8 +280,9 @@ object Eev {
     None
   }
 
-  /** Optimized bidirectional DFS (paper Algorithm 7). Returns one temporal simple path
-    * `s ⇝ t` through `seed`, as its full edge sequence, or None.
+  /** Optimized bidirectional DFS (paper Algorithm 7) with budgeted escalation.
+    * Returns one temporal simple path `s ⇝ t` through `seed`, as its full edge
+    * sequence, or None.
     */
   def biDirSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge): Option[IndexedSeq[TEdge]] =
     searchWithEscalation(gt, q, seed,
@@ -290,181 +291,74 @@ object Eev {
   /** Returns `(result, escalatedToStage2)`. */
   private def searchWithEscalation(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
                                    arrGt: Array[Int], depGt: Array[Int]): (Option[IndexedSeq[TEdge]], Boolean) = {
-    val first = new BiDirSearch(gt, q, seed, arrGt, depGt, searchBudget)
-    val r     = first.run()
-    if (r != null) (Some(r), false)
-    else if (!first.budgetExhausted) (None, false) // exhaustive failure: not in tspG
+    // Stage 1: seed-anchored search, the forward half from `v` to `t` gated by
+    // `τ < D(x)`, the backward half from `u` to `s` gated by `τ > A(x)`.
+    val first = new Search(gt, q, seed,
+      fwd = Half(seed.dst, seed.ts, q.t, q.tauE + 1, depGt),
+      bwd = Half(seed.src, seed.ts, q.s, q.tauB - 1, arrGt), budget = searchBudget)
+    val r = first.run()
+    if (r.isDefined || !first.budgetExhausted) (r, false) // found, or not in tspG
     else {
       // Escalate: polarity times that also avoid the seed endpoints. The witness
       // path's prefix cannot contain v (= seed.dst) and its suffix cannot contain u,
       // so these remain sound gates — and they refute outright the searches whose
       // half-side is only reachable through the opposite seed endpoint.
       val (arrAvoid, arrAvoidPar) =
-        PolarityTime.earliestArrivalsWithParents(gt, q.s, q.tauB, q.tauE, q.t, seed.dst)
+        PolarityTime.earliestArrivals(gt, q.s, q.tauB, q.tauE, q.t, seed.dst)
       val (depAvoid, depAvoidPar) =
-        PolarityTime.latestDeparturesWithParents(gt, q.t, q.tauB, q.tauE, q.s, seed.src)
+        PolarityTime.latestDepartures(gt, q.t, q.tauB, q.tauE, q.s, seed.src)
       val backOk = seed.src == q.s || arrAvoid(seed.src) < seed.ts
       val fwdOk  = seed.dst == q.t || depAvoid(seed.dst) > seed.ts
       if (!backOk || !fwdOk) (None, true)
       else {
-        // Cheap retries under the tighter per-seed gates before the unbounded DFS:
+        // Cheap retries under the tighter per-seed gates before the unbounded search:
         // the avoidance trees often stitch where the global ones collided.
-        val quick = treeWitness(gt, q, seed, arrAvoidPar, depAvoidPar)
+        val res = treeWitness(gt, q, seed, arrAvoidPar, depAvoidPar)
           .orElse(randomWitness(gt, q, seed, arrAvoid, depAvoid))
-        if (quick.isDefined) (quick, true)
-        else {
-          // Stage 3: goal-directed anchored search. The budgeted seed-anchored DFS
-          // explores the (often hub-sized) neighborhoods of the seed endpoints; the
-          // anchored variant searches each half from s / t instead, gated by per-seed
-          // reachability-to-seed times, so every explored branch can still complete
-          // its half — the branching collapses to the (typically small) degrees
-          // around s and t.
-          val t0  = System.nanoTime()
-          val res = Option(new AnchoredSearch(gt, q, seed).run())
-          if (debug && System.nanoTime() - t0 > 100000000L)
-            Console.err.println(f"[eev] slow stage-3 ${(System.nanoTime() - t0) / 1e6}%.0f ms " +
-              s"seed=$seed found=${res.isDefined}")
-          (res, true)
-        }
+          .orElse(anchoredSearch(gt, q, seed))
+        (res, true)
       }
     }
   }
 
-  /** Goal-directed bidirectional search anchored at `s` and `t` (stage 3).
+  /** Stage 3: goal-directed search anchored at `s` and `t`.
     *
-    * The prefix half `s ⇝ u` is searched as a forward DFS *from s*, gated by
-    * `ts < D_u(x)` where `D_u` is the latest departure towards `u` within
-    * `[τb, τ−1]` avoiding `{t, v}`; the suffix half `v ⇝ t` is searched as a
-    * backward DFS *from t*, gated by `ts > A_v(x)` where `A_v` is the earliest
-    * arrival from `v` within `[τ+1, τe]` avoiding `{s, u}`. Every explored branch can
-    * therefore still complete its half — the search only backtracks on vertex
-    * conflicts — and the branching factor is that of the neighborhoods around `s`
-    * and `t` rather than around the (hub-heavy) seed endpoints. The same
-    * cross-conflict abort and conflict-cache machinery as [[BiDirSearch]] applies.
+    * The prefix half `s ⇝ u` is searched forward *from s*, gated by `τ < D_u(x)`
+    * where `D_u` is the latest departure towards `u` within `[τb, τ−1]` avoiding
+    * `{t, v}`; the suffix half `v ⇝ t` is searched backward *from t*, gated by
+    * `τ > A_v(x)` where `A_v` is the earliest arrival from `v` within `[τ+1, τe]`
+    * avoiding `{s, u}`. Every explored branch can still complete its half — the
+    * search only backtracks on vertex conflicts — and the branching factor is that of
+    * the neighborhoods around `s` and `t` rather than around the (hub-heavy) seed
+    * endpoints. Unbudgeted, so exact on its own.
     */
-  private final class AnchoredSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge) {
-
-    private val depToU =
-      PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)
-    private val arrFromV =
-      PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)
-
-    private val prefOwn = mutable.BitSet.empty // interior vertices of the s ⇝ u half
-    private val sufOwn  = mutable.BitSet.empty // interior vertices of the v ⇝ t half
-    private val pref    = mutable.ArrayBuffer.empty[TEdge] // s ⇝ u, in order
-    private val suf     = mutable.ArrayBuffer.empty[TEdge] // v ⇝ t, reversed
-    private var abort   = false
-    private var crossSet = mutable.BitSet.empty
-    private val conflictCache = mutable.ArrayBuffer.empty[mutable.BitSet]
-
-    private def taken(w: Int): Boolean =
-      w == q.s || w == q.t || w == seed.src || w == seed.dst ||
-        prefOwn.contains(w) || sufOwn.contains(w)
-
-    /** Forward DFS from `cur` towards `seed.src` (the prefix half). */
-    private def prefixSearch(cur: Int, curTs: Int, terminal: Boolean,
-                             cont: () => Boolean): Boolean = {
-      val out = gt.outEdges(cur) // ascending; explore non-ascending like Algorithm 7
-      var i   = out.length - 1
-      while (i >= 0 && !abort) {
-        val e = out(i)
-        if (e.ts <= curTs) i = -1
-        else {
-          if (e.dst == seed.src) {
-            if (e.ts < seed.ts) { // arrive at u strictly before the seed departs
-              pref += e
-              if (cont()) return true
-              pref.remove(pref.length - 1)
-            }
-          } else if (e.ts < depToU(e.dst)) {
-            if (taken(e.dst)) {
-              if (terminal && sufOwn.contains(e.dst)) crossSet += e.dst
-            } else {
-              prefOwn += e.dst
-              pref += e
-              if (prefixSearch(e.dst, e.ts, terminal, cont)) return true
-              prefOwn -= e.dst
-              pref.remove(pref.length - 1)
-            }
-          }
-          i -= 1
-        }
-      }
-      false
-    }
-
-    /** Backward DFS from `cur` towards `seed.dst` (the suffix half). */
-    private def suffixSearch(cur: Int, curTs: Int, terminal: Boolean,
-                             cont: () => Boolean): Boolean = {
-      val in = gt.inEdges(cur) // ascending: non-descending exploration
-      var i  = 0
-      while (i < in.length && !abort) {
-        val e = in(i)
-        if (e.ts >= curTs) i = in.length
-        else {
-          if (e.src == seed.dst) {
-            if (e.ts > seed.ts) { // depart v strictly after the seed arrives
-              suf += e
-              if (cont()) return true
-              suf.remove(suf.length - 1)
-            }
-          } else if (e.ts > arrFromV(e.src)) {
-            if (taken(e.src)) {
-              if (terminal && prefOwn.contains(e.src)) crossSet += e.src
-            } else {
-              sufOwn += e.src
-              suf += e
-              if (suffixSearch(e.src, e.ts, terminal, cont)) return true
-              sufOwn -= e.src
-              suf.remove(suf.length - 1)
-            }
-          }
-          i += 1
-        }
-      }
-      false
-    }
-
-    private def terminalRun(firstSideOwn: mutable.BitSet, body: => Boolean): Boolean = {
-      if (conflictCache.exists(_.subsetOf(firstSideOwn))) return false
-      crossSet = mutable.BitSet.empty
-      val ok = body
-      if (!ok && !abort) {
-        if (crossSet.isEmpty) abort = true
-        else if (conflictCache.size < 32) conflictCache += crossSet
-      }
-      ok
-    }
-
-    def run(): IndexedSeq[TEdge] = {
-      // Degenerate halves: a seed endpoint that *is* the anchor needs no search.
-      val needPref = seed.src != q.s
-      val needSuf  = seed.dst != q.t
-      def prefRun(terminal: Boolean, cont: () => Boolean): Boolean =
-        if (!needPref) cont()
-        else prefixSearch(q.s, q.tauB - 1, terminal, cont)
-      def sufRun(terminal: Boolean, cont: () => Boolean): Boolean =
-        if (!needSuf) cont()
-        else suffixSearch(q.t, q.tauE + 1, terminal, cont)
-      // Larger-window half first (many completions), smaller half terminal (cheap,
-      // cache-friendly retries) — the measured optimum under conflict caching.
-      val prefFirst = seed.ts - q.tauB >= q.tauE - seed.ts
-      val found =
-        if (prefFirst) prefRun(terminal = false, () => terminalRun(prefOwn, sufRun(terminal = true, () => true)))
-        else sufRun(terminal = false, () => terminalRun(sufOwn, prefRun(terminal = true, () => true)))
-      if (!found) null
-      else (pref.iterator ++ Iterator.single(seed) ++ suf.reverseIterator).toIndexedSeq
-    }
+  private[core] def anchoredSearch(gt: TemporalGraph, q: TspgQuery,
+                                   seed: TEdge): Option[IndexedSeq[TEdge]] = {
+    val depToU   = PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)._1
+    val arrFromV = PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)._1
+    new Search(gt, q, seed,
+      fwd = Half(q.s, q.tauB - 1, seed.src, seed.ts, depToU),
+      bwd = Half(q.t, q.tauE + 1, seed.dst, seed.ts, arrFromV), budget = Long.MaxValue).run()
   }
 
-  /** One bidirectional search instance (mutable state scoped to a single seed edge). */
-  private final class BiDirSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                                  arr: Array[Int], dep: Array[Int], budget: Long) {
+  /** One half of a witness search: a DFS from `start` (entered at `startTs`) that
+    * ends with an edge into `goal`. Forward halves walk out-edges with ascending
+    * timestamps, need the goal edge's `τ < goalBound` and step into `x` at `τ` only
+    * if `τ < gate(x)`; backward halves walk in-edges with descending timestamps, need
+    * `τ > goalBound` and `τ > gate(x)`.
+    */
+  private final case class Half(start: Int, startTs: Int, goal: Int, goalBound: Int,
+                                gate: Array[Int])
 
-    private val fwdOwn = mutable.BitSet.empty // vertices possessed by the forward path
+  /** One bidirectional search for a witness through `seed` (mutable state scoped to
+    * a single run). Both halves must avoid `{s, t, u, v}` and each other's vertices.
+    */
+  private final class Search(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
+                             fwd: Half, bwd: Half, budget: Long) {
+
+    private val fwdOwn = mutable.BitSet.empty // interior vertices of the forward half
     private val bwdOwn = mutable.BitSet.empty
-    private val fwd    = mutable.ArrayBuffer.empty[TEdge] // path seed.dst ⇝ t, in order
-    private val bwd    = mutable.ArrayBuffer.empty[TEdge] // path s ⇝ seed.src, reversed
+    private val path   = mutable.ArrayBuffer(seed) // the seed plus both halves' edges
     private var steps  = 0L
     private var abort  = false // cross-conflict abort or budget exhaustion
     /** First-side vertices the current terminal run was blocked on. */
@@ -474,26 +368,33 @@ object Eev {
       * which first-side vertices its exploration hits, and blocking *more* vertices
       * only shrinks its search tree — so if a cached conflict set is still wholly
       * owned by the first side, re-running the terminal search is guaranteed to fail
-      * and is skipped (conflict-directed pruning; preserves exactness).
+      * and is skipped (conflict-directed pruning; preserves exactness). Goal
+      * vertices are never owned, so `s` and `t` never enter a conflict set.
       */
     private val conflictCache = mutable.ArrayBuffer.empty[mutable.BitSet]
     var budgetExhausted = false
 
     private def taken(w: Int): Boolean =
-      w == seed.src || w == seed.dst || fwdOwn.contains(w) || bwdOwn.contains(w)
+      w == q.s || w == q.t || w == seed.src || w == seed.dst ||
+        fwdOwn.contains(w) || bwdOwn.contains(w)
 
     private def step(): Unit = {
       steps += 1
       if (steps > budget) { budgetExhausted = true; abort = true }
     }
 
-    /** Forward search from `cur` (last edge time `curTs`) towards `t`.
-      * `terminal`: this is the second direction — on exhaustion without a conflict
-      * against the backward side, trigger the global abort.
+    /** Append the goal edge `e` and try to finish; undo on failure. */
+    private def close(e: TEdge, cont: () => Boolean): Boolean = {
+      path += e
+      cont() || { path.remove(path.length - 1); false }
+    }
+
+    /** Forward DFS from `cur` (last edge time `curTs`) towards `fwd.goal`.
+      * `terminal`: this is the second direction — record the first side's vertices
+      * it is blocked on.
       */
     private def forward(cur: Int, curTs: Int, terminal: Boolean,
                         cont: () => Boolean): Boolean = {
-      if (cur == q.t) return cont()
       val out = gt.outEdges(cur) // ascending; iterate descending (non-ascending order)
       var i   = out.length - 1
       while (i >= 0 && !abort) {
@@ -501,17 +402,17 @@ object Eev {
         if (e.ts <= curTs) i = -1 // descending scan: all remaining are ≤ too
         else {
           step()
-          // s can never be interior to a simple s→t path; the ts < D(dst) gate
-          // (with D(t) = τe + 1) prunes branches that cannot reach t.
-          if (e.dst != q.s && e.ts < dep(e.dst)) {
+          if (e.dst == fwd.goal) { // before the taken check: the goal may be u or t
+            if (e.ts < fwd.goalBound && close(e, cont)) return true
+          } else if (e.ts < fwd.gate(e.dst)) {
             if (taken(e.dst)) {
               if (terminal && bwdOwn.contains(e.dst)) crossSet += e.dst
             } else {
               fwdOwn += e.dst
-              fwd += e
+              path += e
               if (forward(e.dst, e.ts, terminal, cont)) return true
               fwdOwn -= e.dst
-              fwd.remove(fwd.length - 1)
+              path.remove(path.length - 1)
             }
           }
           i -= 1
@@ -520,9 +421,9 @@ object Eev {
       false
     }
 
+    /** Backward DFS from `cur` (next edge time `curTs`) towards `bwd.goal`. */
     private def backward(cur: Int, curTs: Int, terminal: Boolean,
                          cont: () => Boolean): Boolean = {
-      if (cur == q.s) return cont()
       val in = gt.inEdges(cur) // ascending (non-descending order)
       var i  = 0
       while (i < in.length && !abort) {
@@ -530,16 +431,17 @@ object Eev {
         if (e.ts >= curTs) i = in.length
         else {
           step()
-          // Mirror gate: ts > A(src) (with A(s) = τb − 1) prunes unreachable branches.
-          if (e.src != q.t && e.ts > arr(e.src)) {
+          if (e.src == bwd.goal) {
+            if (e.ts > bwd.goalBound && close(e, cont)) return true
+          } else if (e.ts > bwd.gate(e.src)) {
             if (taken(e.src)) {
               if (terminal && fwdOwn.contains(e.src)) crossSet += e.src
             } else {
               bwdOwn += e.src
-              bwd += e
+              path += e
               if (backward(e.src, e.ts, terminal, cont)) return true
               bwdOwn -= e.src
-              bwd.remove(bwd.length - 1)
+              path.remove(path.length - 1)
             }
           }
           i += 1
@@ -568,26 +470,28 @@ object Eev {
       ok
     }
 
-    /** Run the search; returns the full path or null. */
-    def run(): IndexedSeq[TEdge] = {
+    /** Run the search; the witness comes back in path order (ascending `ts`). */
+    def run(): Option[IndexedSeq[TEdge]] = {
+      // A half whose start is its goal (the seed touches `s` or `t`) is empty.
+      def fwdRun(terminal: Boolean, cont: () => Boolean): Boolean =
+        if (fwd.start == fwd.goal) cont() else forward(fwd.start, fwd.startTs, terminal, cont)
+      def bwdRun(terminal: Boolean, cont: () => Boolean): Boolean =
+        if (bwd.start == bwd.goal) cont() else backward(bwd.start, bwd.startTs, terminal, cont)
       // Search-direction prioritization. The paper (§V, optimization i) runs the
       // potentially shorter side first; with the cross-conflict abort and conflict
-      // cache in place the measured optimum inverts: the *longer* side goes first
-      // (dense windows offer it many completions) and the shorter side is the
-      // terminal continuation — its search tree is small, so failed attempts are
-      // cheap and their conflict sets cache well. Total work is
+      // cache in place the measured optimum inverts: the half with the *larger*
+      // window goes first (dense windows offer it many completions) and the other
+      // is the terminal continuation — its search tree is small, so failed attempts
+      // are cheap and their conflict sets cache well. Total work is
       // (#first-side completions tried) × (terminal tree size), which this
       // minimizes.
-      val forwardFirst = q.tauE - seed.ts >= seed.ts - q.tauB
+      val forwardFirst = fwd.goalBound - fwd.startTs >= bwd.startTs - bwd.goalBound
       val found =
         if (forwardFirst)
-          forward(seed.dst, seed.ts, terminal = false,
-            () => terminalRun(fwdOwn, backward(seed.src, seed.ts, terminal = true, () => true)))
+          fwdRun(terminal = false, () => terminalRun(fwdOwn, bwdRun(terminal = true, () => true)))
         else
-          backward(seed.src, seed.ts, terminal = false,
-            () => terminalRun(bwdOwn, forward(seed.dst, seed.ts, terminal = true, () => true)))
-      if (!found) null
-      else (bwd.reverseIterator ++ Iterator.single(seed) ++ fwd.iterator).toIndexedSeq
+          bwdRun(terminal = false, () => terminalRun(bwdOwn, fwdRun(terminal = true, () => true)))
+      if (found) Some(path.sortBy(_.ts).toIndexedSeq) else None
     }
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Polarity time computation (paper Algorithm 3, Definitions 3–4).
   *
   * For every vertex `u`, the earliest arrival time `A(u)` of any strict-ascending
@@ -11,10 +9,14 @@ import scala.collection.mutable
   * `A(u) = +∞` / `D(u) = −∞` when no such path exists (here `NoArrival` /
   * `NoDeparture`).
   *
-  * Implementation is the paper's label-correcting BFS: earliest arrival is monotone
-  * (arriving earlier never disables an out-edge), so a FIFO queue with improvement
-  * checks converges to the fixpoint in `O(n + m)` amortized time without the priority
-  * queue that makes `tgTSG` an `O(log n)` factor slower (§IV-A discussion).
+  * Implementation is the one-pass earliest-arrival scan of Wu et al. (*Path Problems
+  * in Temporal Graphs*, PVLDB 2014) over the `[τb, τe]` slice of the ts-sorted
+  * `g.edges`, located by binary search. Timestamps strictly ascend along a temporal
+  * path, so by the time the scan reaches an edge at `τ` every path arriving before
+  * `τ` has been relaxed, and edges sharing `τ` cannot chain (`A(src) < τ` fails for
+  * a `src` reached at `τ`). Each label is therefore final when set: no queue and no
+  * label correction, `O(n + |window| + log m)` time. Departures are the mirror scan
+  * in descending order.
   */
 object PolarityTime {
 
@@ -26,110 +28,75 @@ object PolarityTime {
 
   /** Earliest arrival times `A(·)` for a query (avoiding `t`, per Algorithm 3 line 6). */
   def arrivals(g: TemporalGraph, q: TspgQuery): Array[Int] =
-    earliestArrivals(g, q.s, q.tauB, q.tauE, avoid = q.t)
+    earliestArrivals(g, q.s, q.tauB, q.tauE, avoid = q.t, avoid2 = -1)._1
 
   /** Latest departure times `D(·)` for a query (avoiding `s`). */
   def departures(g: TemporalGraph, q: TspgQuery): Array[Int] =
-    latestDepartures(g, q.t, q.tauB, q.tauE, avoid = q.s)
+    latestDepartures(g, q.t, q.tauB, q.tauE, avoid = q.s, avoid2 = -1)._1
 
-  /** Earliest strict-ascending arrival from `source` within `[tauB, tauE]`.
+  /** Earliest strict-ascending arrival from `source` within `[tauB, tauE]`, never
+    * entering `avoid` or `avoid2` (`-1` disables either), with the parent edge that
+    * set each label.
     *
-    * `avoid` (< 0 to disable) is a vertex the traversal never enters — the paper uses
-    * `avoid = t` so that `A` only reflects paths not passing through the target
-    * (needed for Lemma 2's simple-path argument). With `avoid < 0` this is plain
-    * temporal earliest-arrival, used for workload generation.
+    * The paper uses `avoid = t`, so `A` only reflects paths not passing through the
+    * target (Lemma 2's simple-path argument); EEV's per-seed gates add the seed's
+    * head as `avoid2`; workload generation avoids nothing. Following parents from any
+    * reached `u` back to `source` gives a path whose timestamps strictly ascend —
+    * hence a temporal *simple* path — arriving at `A(u)`.
     */
   def earliestArrivals(g: TemporalGraph, source: Int, tauB: Int, tauE: Int,
-                       avoid: Int): Array[Int] =
-    earliestArrivals(g, source, tauB, tauE, avoid, -1)
-
-  /** [[earliestArrivals]] with a second avoided vertex (used by EEV's per-seed gates:
-    * the prefix of a witness path through `e(u, v, τ)` can contain neither `t` nor `v`).
-    */
-  def earliestArrivals(g: TemporalGraph, source: Int, tauB: Int, tauE: Int,
-                       avoid: Int, avoid2: Int): Array[Int] =
-    earliestArrivalsWithParents(g, source, tauB, tauE, avoid, avoid2)._1
-
-  /** [[earliestArrivals]] additionally returning the relaxation parent edge of each
-    * reached vertex. Following parents from any reached `u` back to `source` yields a
-    * temporal path whose arrival times strictly ascend — hence a temporal *simple*
-    * path arriving at `A(u)` (used by EEV's tree-witness shortcut).
-    */
-  def earliestArrivalsWithParents(g: TemporalGraph, source: Int, tauB: Int, tauE: Int,
-                                  avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
-    val a = Array.fill(g.n)(NoArrival)
-    a(source) = tauB - 1
+                       avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
+    val a      = Array.fill(g.n)(NoArrival)
     val parent = new Array[TEdge](g.n)
-    val inQ   = new Array[Boolean](g.n)
-    val queue = mutable.ArrayDeque[Int](source)
-    inQ(source) = true
-    while (queue.nonEmpty) {
-      val u = queue.removeHead()
-      inQ(u) = false
-      val au  = a(u)
-      val out = g.outEdges(u) // ascending ts
-      var i   = 0
-      var continueScan = true
-      while (continueScan && i < out.length) {
-        val e = out(i)
-        if (e.ts > tauE) continueScan = false // ascending: all later edges out of window
-        else if (e.dst != avoid && e.dst != avoid2 && e.ts > au && e.ts < a(e.dst)) {
-          a(e.dst) = e.ts
-          parent(e.dst) = e
-          // `ts == tauE` cannot be extended (next edge would need ts > tauE): skip the
-          // queue, matching Algorithm 3 line 9.
-          if (e.ts != tauE && !inQ(e.dst)) { queue.append(e.dst); inQ(e.dst) = true }
-        }
-        i += 1
+    a(source) = tauB - 1
+    val es = g.edges
+    var i  = firstAfter(es, tauB - 1)
+    val hi = firstAfter(es, tauE)
+    while (i < hi) {
+      val e = es(i)
+      if (e.dst != avoid && e.dst != avoid2 && a(e.src) < e.ts && e.ts < a(e.dst)) {
+        a(e.dst) = e.ts
+        parent(e.dst) = e
       }
+      i += 1
     }
     (a, parent)
   }
 
-  /** Latest strict-ascending departure towards `target` within `[tauB, tauE]`
-    * (mirror of [[earliestArrivals]]; Algorithm 3 line 10).
+  /** Latest strict-ascending departure towards `target` within `[tauB, tauE]` — the
+    * mirror of [[earliestArrivals]] (Algorithm 3 line 10): a descending scan, never
+    * leaving from `avoid` or `avoid2`. Following parents from any reached `v` forward
+    * to `target` gives a temporal simple path departing at `D(v)`.
     */
   def latestDepartures(g: TemporalGraph, target: Int, tauB: Int, tauE: Int,
-                       avoid: Int): Array[Int] =
-    latestDepartures(g, target, tauB, tauE, avoid, -1)
-
-  /** [[latestDepartures]] with a second avoided vertex (EEV per-seed gates: the suffix
-    * of a witness path through `e(u, v, τ)` can contain neither `s` nor `u`).
-    */
-  def latestDepartures(g: TemporalGraph, target: Int, tauB: Int, tauE: Int,
-                       avoid: Int, avoid2: Int): Array[Int] =
-    latestDeparturesWithParents(g, target, tauB, tauE, avoid, avoid2)._1
-
-  /** [[latestDepartures]] additionally returning the relaxation parent edge of each
-    * reached vertex. Following parents from any reached `v` forward to `target` yields
-    * a temporal simple path departing at `D(v)` (EEV's tree-witness shortcut).
-    */
-  def latestDeparturesWithParents(g: TemporalGraph, target: Int, tauB: Int, tauE: Int,
-                                  avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
-    val d = Array.fill(g.n)(NoDeparture)
-    d(target) = tauE + 1
+                       avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
+    val d      = Array.fill(g.n)(NoDeparture)
     val parent = new Array[TEdge](g.n)
-    val inQ   = new Array[Boolean](g.n)
-    val queue = mutable.ArrayDeque[Int](target)
-    inQ(target) = true
-    while (queue.nonEmpty) {
-      val u = queue.removeHead()
-      inQ(u) = false
-      val du = d(u)
-      val in = g.inEdges(u) // ascending ts; scan backward for descending
-      var i  = in.length - 1
-      var continueScan = true
-      while (continueScan && i >= 0) {
-        val e = in(i)
-        if (e.ts < tauB) continueScan = false
-        else if (e.src != avoid && e.src != avoid2 && e.ts < du && e.ts > d(e.src)) {
-          d(e.src) = e.ts
-          parent(e.src) = e
-          if (e.ts != tauB && !inQ(e.src)) { queue.append(e.src); inQ(e.src) = true }
-        }
-        i -= 1
+    d(target) = tauE + 1
+    val es = g.edges
+    val lo = firstAfter(es, tauB - 1)
+    var i  = firstAfter(es, tauE) - 1
+    while (i >= lo) {
+      val e = es(i)
+      if (e.src != avoid && e.src != avoid2 && d(e.src) < e.ts && e.ts < d(e.dst)) {
+        d(e.src) = e.ts
+        parent(e.src) = e
       }
+      i -= 1
     }
     (d, parent)
+  }
+
+  /** Index of the first edge of the ts-sorted `es` with `ts > bound` (`es.length` if
+    * none), so `[firstAfter(τb − 1), firstAfter(τe))` is the window slice.
+    */
+  private def firstAfter(es: Array[TEdge], bound: Int): Int = {
+    var lo = 0
+    var hi = es.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (es(mid).ts <= bound) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 }

@@ -25,6 +25,8 @@ final case class VugResult(
 object Vug {
 
   def run(g: TemporalGraph, q: TspgQuery): VugResult = {
+    for (v <- Seq(q.s, q.t))
+      require(v >= 0 && v < g.n, s"query vertex $v outside vertex universe [0, ${g.n})")
     val t0 = System.nanoTime()
     val gq = QuickUbg.compute(g, q)
     val t1 = System.nanoTime()

@@ -135,4 +135,41 @@ class EevSpec extends SparkSpec {
         assert(Eev(gtr, q) == TestRef.tspg(g, q), s"mismatch for $q")
       }
     }
+
+  /** `p` is a strictly ascending temporal simple path `s ⇝ t` within the window
+    * through `seed`.
+    */
+  private def assertWitness(p: IndexedSeq[TEdge], q: TspgQuery, seed: TEdge): Unit = {
+    assert(p.head.src == q.s && p.last.dst == q.t, s"$p does not run ${q.s} ~> ${q.t}")
+    assert(p.contains(seed), s"$p misses $seed")
+    assert(p.zip(p.tail).forall { case (e1, e2) => e1.dst == e2.src && e1.ts < e2.ts },
+      s"$p is not a strictly ascending path")
+    assert(p.forall(e => e.ts >= q.tauB && e.ts <= q.tauE), s"$p leaves the window")
+    val vs = p.head.src +: p.map(_.dst)
+    assert(vs.distinct == vs, s"$p is not simple")
+  }
+
+  // Stage 3 (the search anchored at s and t) is exact on its own: called directly on
+  // every Gt edge, it finds a witness exactly for the tspG edges. Its gates confine
+  // it to the window, so the same holds searching the whole graph from every window
+  // edge (more seeds, and more edges that would break strict ascent).
+  for (seed <- 1 to 15)
+    test(s"anchored search finds a witness iff the seed is in tspG (random graph seed=$seed)") {
+      val sparse = Fixtures.randomGraph(seed, n = 11, m = 40)
+      val dense  = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
+      (Fixtures.randomQueries(sparse, seed + 17, 3).map(sparse -> _) ++
+        Fixtures.randomQueries(dense, seed + 31, 3, maxTs = 8).map(dense -> _)).foreach {
+        case (g, q) =>
+          val gtr    = TightUbg.compute(QuickUbg.compute(g, q), q)
+          val ref    = TestRef.tspg(g, q).edges
+          val window = g.filterEdges(e => e.ts >= q.tauB && e.ts <= q.tauE && e.src != q.t && e.dst != q.s)
+          Seq(gtr -> gtr.edges, g -> window.edges).foreach { case (searched, seeds) =>
+            seeds.foreach { e =>
+              val found = Eev.anchoredSearch(searched, q, e)
+              assert(found.isDefined == ref.contains(e), s"$e for $q")
+              found.foreach(assertWitness(_, q, e))
+            }
+          }
+      }
+    }
 }

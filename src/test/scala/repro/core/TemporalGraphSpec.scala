@@ -98,6 +98,12 @@ class TemporalGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](TspgQuery(0, 1, 5, 4))
   }
 
+  test("TspgQuery rejects intervals whose tauB - 1 or tauE + 1 would overflow") {
+    intercept[IllegalArgumentException](TspgQuery(0, 1, Int.MinValue, 5))
+    intercept[IllegalArgumentException](TspgQuery(0, 1, 5, Int.MaxValue))
+    assert(TspgQuery(0, 1, Int.MinValue + 1, Int.MaxValue - 1).tauE == Int.MaxValue - 1)
+  }
+
   test("TspgQuery theta is the interval span") {
     assert(TspgQuery(0, 1, 2, 7).theta == 6 && TspgQuery(0, 1, 3, 3).theta == 1)
   }

@@ -28,6 +28,13 @@ class VugSpec extends SparkSpec {
     assert(Vug.tspg(graph, TspgQuery(a, s, 2, 7)) == Subgraph.empty)
   }
 
+  test("a query vertex outside the graph is rejected with its id and n") {
+    val e1 = intercept[IllegalArgumentException](Vug.run(graph, TspgQuery(s, 9, 2, 7)))
+    assert(e1.getMessage.contains("vertex 9") && e1.getMessage.contains("[0, 8)"))
+    val e2 = intercept[IllegalArgumentException](Vug.run(graph, TspgQuery(-1, t, 2, 7)))
+    assert(e2.getMessage.contains("vertex -1"))
+  }
+
   test("query window outside the timestamp range yields the empty subgraph") {
     assert(Vug.tspg(graph, TspgQuery(s, t, 50, 60)) == Subgraph.empty)
   }
