@@ -60,7 +60,7 @@ object BenchUtil {
 
   def ms(nanos: Long): Double = nanos / 1e6
 
-  /** Print a table block that is easy to diff against EXPERIMENTS.md. */
+  /** Print a table block that is easy to diff between runs. */
   def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit = {
     val widths = header.indices.map(i => (header(i) +: rows.map(_(i))).map(_.length).max)
     def fmt(cells: Seq[String]) =

@@ -4,6 +4,9 @@ import scala.collection.mutable
 
 /** Counters from the most recent [[Eev.apply]] run (single-threaded; for diagnostics
   * and the benchmark's visibility into where verification effort goes).
+  * `treeWitnessHits` is always 0: every seed that pre-verification and the
+  * feasibility check leave open is decided by a search. The field is kept because
+  * the benchmark reads it.
   */
 final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
                           dfsSearches: Int, escalations: Int, negatives: Int)
@@ -18,31 +21,32 @@ final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
   *      `τ` in `Gt` is in tspG (Lemma 10).
   *   2. For each remaining unverified edge (in non-descending temporal order), a
   *      bidirectional DFS finds one temporal simple path `s ⇝ t` through it; every edge
-  *      on that path, plus every parallel edge that can replace an interior edge while
-  *      keeping timestamps strictly ascending (Lemma 11), is confirmed in one batch.
+  *      on that path, plus every shortcut edge between two of its vertices that keeps
+  *      timestamps strictly ascending (Lemma 11, generalized in [[confirmBatch]]), is
+  *      confirmed in one batch.
   *   3. Edges whose search fails lie on no temporal simple path and are dropped.
   *
   * The bidirectional DFS implements both of the paper's optimizations — search-
-  * direction prioritization (inverted here: the half with the larger window goes
-  * first, see `Search.run`) and neighbors explored in temporal order (out-neighbors
-  * non-ascending, in-neighbors non-descending) — plus three engineering safeguards
-  * that preserve exactness while taming the exponential worst case (Theorem 5) on
-  * dense windows:
+  * direction prioritization (the half with the smaller timestamp window runs first)
+  * and neighbors explored in temporal order (out-neighbors non-ascending, in-neighbors
+  * non-descending) — plus three engineering safeguards that preserve exactness while
+  * taming the exponential worst case (Theorem 5) on dense windows:
   *
   *   - *Reachability gates*: a forward step into `x` at time `τ` is only taken when
   *     `τ < D(x)` (departures on `Gt`), a backward step from `x` only when `τ > A(x)`
   *     — necessary conditions for any witness path, so pruning never loses
   *     completeness.
-  *   - *Cross-conflict abort*: when the second-direction search exhausts without ever
-  *     having been blocked by a vertex owned by the first direction, its failure is
-  *     independent of the first direction's choices, so the whole search can stop
-  *     instead of backtracking through exponentially many first-side variants.
-  *   - *Budgeted escalation*: a search that exceeds a node-expansion budget is re-run
-  *     with per-seed polarity times that additionally avoid the seed's endpoints
+  *   - *Cross-conflict abort and conflict cache*: when the second-direction search
+  *     exhausts without ever having been blocked by a vertex owned by the first
+  *     direction, its failure is independent of the first direction's choices, so the
+  *     whole search can stop instead of backtracking through exponentially many
+  *     first-side variants; otherwise its blocking set is cached (see [[Search]]).
+  *   - *Budgeted escalation*: a search that exceeds a node-expansion budget gets
+  *     per-seed polarity times that additionally avoid the seed's endpoints
   *     (`A` avoiding `{t, v}`, `D` avoiding `{s, u}`) — these exactly refute the
   *     common pathological case where e.g. every continuation `v ⇝ t` passes through
-  *     `u`, and tighten the gates for the rest — and, failing that, by the same search
-  *     anchored at `s` and `t` instead of the seed ([[anchoredSearch]]).
+  *     `u` — and, if they do not refute the seed, the same search anchored at `s` and
+  *     `t` instead of the seed ([[anchoredSearch]]) decides it.
   *
   * Both the seed-anchored and the `s`/`t`-anchored search are one [[Search]] class,
   * parameterized by where each half starts, where it ends and which gates it uses.
@@ -52,15 +56,18 @@ final case class EevStats(gtEdges: Int, preVerified: Int, treeWitnessHits: Int,
   */
 object Eev {
 
-  /** Stage-1 node-expansion budget before escalating to per-seed gates.
-    * Package-visible so tests can force the escalation path on small graphs.
-    */
-  private[core] var searchBudget: Long = 10000L
+  /** Seed-anchored node-expansion budget before escalating to per-seed gates. */
+  private val SearchBudget = 10000L
 
   /** Stats of the most recent run (not thread-safe; diagnostics only). */
   @volatile var lastStats: EevStats = EevStats(0, 0, 0, 0, 0, 0)
 
-  def apply(gt: TemporalGraph, q: TspgQuery): Subgraph = {
+  def apply(gt: TemporalGraph, q: TspgQuery): Subgraph = run(gt, q, SearchBudget)
+
+  /** [[apply]] with the seed-anchored search budget as a parameter, so tests can force
+    * escalation on small graphs.
+    */
+  private[core] def run(gt: TemporalGraph, q: TspgQuery, budget: Long): Subgraph = {
     val verified = mutable.HashSet.empty[TEdge]
     val vOut     = mutable.Set.empty[Int]
     val eOut     = mutable.Set.empty[TEdge]
@@ -83,11 +90,10 @@ object Eev {
     }
 
     // --- Verification loop (lines 6–19); gt.edges is already ts-ascending ------------
-    val (arrGt, arrPar) = PolarityTime.earliestArrivals(gt, q.s, q.tauB, q.tauE, q.t, -1)
-    val (depGt, depPar) = PolarityTime.latestDepartures(gt, q.t, q.tauB, q.tauE, q.s, -1)
+    val arrGt = PolarityTime.arrivals(gt, q)
+    val depGt = PolarityTime.departures(gt, q)
 
     val preVerified = verified.size
-    var treeHits    = 0
     var searches    = 0
     var escalations = 0
     var negatives   = 0
@@ -99,24 +105,18 @@ object Eev {
         val feasible =
           (e.src == q.s || arrGt(e.src) < e.ts) && (e.dst == q.t || depGt(e.dst) > e.ts)
         if (!feasible) negatives += 1
-        else treeWitness(gt, q, e, arrPar, depPar)
-          .orElse { randomWitness(gt, q, e, arrGt, depGt) }
-          match {
-          case Some(path) =>
-            treeHits += 1
-            confirmBatch(gt, q, path, confirm)
-          case None =>
-            searches += 1
-            val (res, escalated) = searchWithEscalation(gt, q, e, arrGt, depGt)
-            if (escalated) escalations += 1
-            res match {
-              case Some(path) => confirmBatch(gt, q, path, confirm)
-              case None       => negatives += 1 // on no temporal simple path: excluded
-            }
+        else {
+          searches += 1
+          val (res, escalated) = searchWithEscalation(gt, q, e, arrGt, depGt, budget)
+          if (escalated) escalations += 1
+          res match {
+            case Some(path) => confirmBatch(gt, q, path, confirm)
+            case None       => negatives += 1 // on no temporal simple path: excluded
+          }
         }
       }
     }
-    lastStats = EevStats(gt.m, preVerified, treeHits, searches, escalations, negatives)
+    lastStats = EevStats(gt.m, preVerified, 0, searches, escalations, negatives)
     Subgraph(vOut.toSet, eOut.toSet)
   }
 
@@ -157,167 +157,36 @@ object Eev {
     }
   }
 
-  /** Tree-witness shortcut: stitch the earliest-arrival parent path `s ⇝ u` to the
-    * latest-departure parent path `v ⇝ t`. Both are temporal simple paths by
-    * construction (labels strictly ascend along them) with `A(u) < τ < D(v)`, so if
-    * they are vertex-disjoint (and avoid the opposite seed endpoint) the concatenation
-    * is a witness — no search needed. Conflicting tree paths return None.
-    */
-  private def treeWitness(gt: TemporalGraph, q: TspgQuery, e: TEdge,
-                          arrPar: Array[TEdge], depPar: Array[TEdge]): Option[IndexedSeq[TEdge]] = {
-    val used = mutable.Set(e.src, e.dst)
-    val back = mutable.ArrayBuffer.empty[TEdge]
-    var x = e.src
-    while (x != q.s) {
-      val pe = arrPar(x)
-      if (pe == null) return None
-      if (pe.src != q.s && !used.add(pe.src)) return None
-      back += pe
-      x = pe.src
-    }
-    val fwd = mutable.ArrayBuffer.empty[TEdge]
-    var y = e.dst
-    while (y != q.t) {
-      val pe = depPar(y)
-      if (pe == null) return None
-      if (pe.dst != q.t && !used.add(pe.dst)) return None
-      fwd += pe
-      y = pe.dst
-    }
-    Some((back.reverseIterator ++ Iterator.single(e) ++ fwd.iterator).toIndexedSeq)
-  }
-
-  /** Randomized greedy witness construction — a cheap middle stage between the tree
-    * witness and the full bidirectional DFS. Performs a bounded number of gated random
-    * walks: backward from `seed.src` towards `s` (each step a uniformly probed
-    * in-edge with `ts` strictly below the current time, above `A(src)`, and into an
-    * unused vertex), then forward from `seed.dst` towards `t` symmetrically, sharing
-    * the used-vertex set. In dense positive windows a random walk completes with high
-    * probability while deterministic orders keep colliding on the same hubs; on
-    * failure the exact DFS still runs, so this never affects the result — only the
-    * constant factors. Deterministic per seed edge.
-    */
-  private def randomWitness(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                            arr: Array[Int], dep: Array[Int]): Option[IndexedSeq[TEdge]] = {
-    val rng = new java.util.Random(seed.src * 1000003L ^ seed.dst * 7919L ^ seed.ts.toLong)
-    val MaxTries = 16
-    val ProbesPerStep = 12
-    var attempt = 0
-    while (attempt < MaxTries) {
-      attempt += 1
-      val used = mutable.Set(seed.src, seed.dst)
-      val back = mutable.ArrayBuffer.empty[TEdge]
-      var cur   = seed.src
-      var curTs = seed.ts
-      var dead  = false
-      while (!dead && cur != q.s && back.length < q.theta) {
-        val in = gt.inEdges(cur) // ts-ascending
-        // Feasible candidates sit in the prefix with ts < curTs; probe random slots.
-        var hi = in.length
-        while (hi > 0 && in(hi - 1).ts >= curTs) hi -= 1
-        // Among the probed feasible candidates, prefer the lowest-degree vertex:
-        // hubs are the contested resource between the two half-paths, so spending
-        // them here is what makes the opposite walk fail.
-        var pick: TEdge = null
-        var pickDeg = Int.MaxValue
-        if (hi > 0) {
-          var p = 0
-          val start = rng.nextInt(hi)
-          while (p < math.min(ProbesPerStep, hi)) {
-            val e2 = in((start + p) % hi)
-            if (e2.src == q.s) { pick = e2; pickDeg = -1; p = ProbesPerStep }
-            else if (e2.src != q.t && e2.ts > arr(e2.src) && !used.contains(e2.src)) {
-              val deg = gt.inEdges(e2.src).length + gt.outEdges(e2.src).length
-              if (deg < pickDeg) { pick = e2; pickDeg = deg }
-            }
-            p += 1
-          }
-        }
-        if (pick == null) dead = true
-        else {
-          back += pick
-          used += pick.src
-          cur = pick.src
-          curTs = pick.ts
-        }
-      }
-      if (!dead && cur == q.s) {
-        val fwd = mutable.ArrayBuffer.empty[TEdge]
-        cur = seed.dst
-        curTs = seed.ts
-        while (!dead && cur != q.t && fwd.length < q.theta) {
-          val out = gt.outEdges(cur)
-          var lo = 0
-          while (lo < out.length && out(lo).ts <= curTs) lo += 1
-          val width = out.length - lo
-          var pick: TEdge = null
-          var pickDeg = Int.MaxValue
-          if (width > 0) {
-            var p = 0
-            val start = rng.nextInt(width)
-            while (p < math.min(ProbesPerStep, width)) {
-              val e2 = out(lo + (start + p) % width)
-              if (e2.dst == q.t) { pick = e2; pickDeg = -1; p = ProbesPerStep }
-              else if (e2.dst != q.s && e2.ts < dep(e2.dst) && !used.contains(e2.dst)) {
-                val deg = gt.inEdges(e2.dst).length + gt.outEdges(e2.dst).length
-                if (deg < pickDeg) { pick = e2; pickDeg = deg }
-              }
-              p += 1
-            }
-          }
-          if (pick == null) dead = true
-          else {
-            fwd += pick
-            used += pick.dst
-            cur = pick.dst
-            curTs = pick.ts
-          }
-        }
-        if (!dead && cur == q.t)
-          return Some((back.reverseIterator ++ Iterator.single(seed) ++ fwd.iterator).toIndexedSeq)
-      }
-    }
-    None
-  }
-
   /** Optimized bidirectional DFS (paper Algorithm 7) with budgeted escalation.
     * Returns one temporal simple path `s ⇝ t` through `seed`, as its full edge
     * sequence, or None.
     */
   def biDirSearch(gt: TemporalGraph, q: TspgQuery, seed: TEdge): Option[IndexedSeq[TEdge]] =
     searchWithEscalation(gt, q, seed,
-      PolarityTime.arrivals(gt, q), PolarityTime.departures(gt, q))._1
+      PolarityTime.arrivals(gt, q), PolarityTime.departures(gt, q), SearchBudget)._1
 
   /** Returns `(result, escalatedToStage2)`. */
   private def searchWithEscalation(gt: TemporalGraph, q: TspgQuery, seed: TEdge,
-                                   arrGt: Array[Int], depGt: Array[Int]): (Option[IndexedSeq[TEdge]], Boolean) = {
+                                   arrGt: Array[Int], depGt: Array[Int],
+                                   budget: Long): (Option[IndexedSeq[TEdge]], Boolean) = {
     // Stage 1: seed-anchored search, the forward half from `v` to `t` gated by
     // `τ < D(x)`, the backward half from `u` to `s` gated by `τ > A(x)`.
     val first = new Search(gt, q, seed,
       fwd = Half(seed.dst, seed.ts, q.t, q.tauE + 1, depGt),
-      bwd = Half(seed.src, seed.ts, q.s, q.tauB - 1, arrGt), budget = searchBudget)
+      bwd = Half(seed.src, seed.ts, q.s, q.tauB - 1, arrGt), budget = budget)
     val r = first.run()
     if (r.isDefined || !first.budgetExhausted) (r, false) // found, or not in tspG
     else {
-      // Escalate: polarity times that also avoid the seed endpoints. The witness
+      // Stage 2: polarity times that also avoid the seed endpoints. The witness
       // path's prefix cannot contain v (= seed.dst) and its suffix cannot contain u,
-      // so these remain sound gates — and they refute outright the searches whose
-      // half-side is only reachable through the opposite seed endpoint.
-      val (arrAvoid, arrAvoidPar) =
-        PolarityTime.earliestArrivals(gt, q.s, q.tauB, q.tauE, q.t, seed.dst)
-      val (depAvoid, depAvoidPar) =
-        PolarityTime.latestDepartures(gt, q.t, q.tauB, q.tauE, q.s, seed.src)
+      // so `A(u) < τ < D(v)` under them is still necessary — and it refutes outright
+      // the seeds whose half-side is only reachable through the opposite seed
+      // endpoint. Stage 3 decides the rest.
+      val arrAvoid = PolarityTime.earliestArrivals(gt, q.s, q.tauB, q.tauE, q.t, seed.dst)
+      val depAvoid = PolarityTime.latestDepartures(gt, q.t, q.tauB, q.tauE, q.s, seed.src)
       val backOk = seed.src == q.s || arrAvoid(seed.src) < seed.ts
       val fwdOk  = seed.dst == q.t || depAvoid(seed.dst) > seed.ts
-      if (!backOk || !fwdOk) (None, true)
-      else {
-        // Cheap retries under the tighter per-seed gates before the unbounded search:
-        // the avoidance trees often stitch where the global ones collided.
-        val res = treeWitness(gt, q, seed, arrAvoidPar, depAvoidPar)
-          .orElse(randomWitness(gt, q, seed, arrAvoid, depAvoid))
-          .orElse(anchoredSearch(gt, q, seed))
-        (res, true)
-      }
+      (if (backOk && fwdOk) anchoredSearch(gt, q, seed) else None, true)
     }
   }
 
@@ -334,8 +203,8 @@ object Eev {
     */
   private[core] def anchoredSearch(gt: TemporalGraph, q: TspgQuery,
                                    seed: TEdge): Option[IndexedSeq[TEdge]] = {
-    val depToU   = PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)._1
-    val arrFromV = PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)._1
+    val depToU   = PolarityTime.latestDepartures(gt, seed.src, q.tauB, seed.ts - 1, q.t, seed.dst)
+    val arrFromV = PolarityTime.earliestArrivals(gt, seed.dst, seed.ts + 1, q.tauE, q.s, seed.src)
     new Search(gt, q, seed,
       fwd = Half(q.s, q.tauB - 1, seed.src, seed.ts, depToU),
       bwd = Half(q.t, q.tauE + 1, seed.dst, seed.ts, arrFromV), budget = Long.MaxValue).run()
@@ -477,15 +346,11 @@ object Eev {
         if (fwd.start == fwd.goal) cont() else forward(fwd.start, fwd.startTs, terminal, cont)
       def bwdRun(terminal: Boolean, cont: () => Boolean): Boolean =
         if (bwd.start == bwd.goal) cont() else backward(bwd.start, bwd.startTs, terminal, cont)
-      // Search-direction prioritization. The paper (§V, optimization i) runs the
-      // potentially shorter side first; with the cross-conflict abort and conflict
-      // cache in place the measured optimum inverts: the half with the *larger*
-      // window goes first (dense windows offer it many completions) and the other
-      // is the terminal continuation — its search tree is small, so failed attempts
-      // are cheap and their conflict sets cache well. Total work is
-      // (#first-side completions tried) × (terminal tree size), which this
-      // minimizes.
-      val forwardFirst = fwd.goalBound - fwd.startTs >= bwd.startTs - bwd.goalBound
+      // Search-direction prioritization (paper §V, optimization i): the half with
+      // the smaller timestamp window, the potentially shorter side, runs first, and
+      // the other half is the terminal continuation. Putting the larger window first
+      // instead measured slower on dense windows (DESIGN §2.5).
+      val forwardFirst = fwd.goalBound - fwd.startTs < bwd.startTs - bwd.goalBound
       val found =
         if (forwardFirst)
           fwdRun(terminal = false, () => terminalRun(fwdOwn, bwdRun(terminal = true, () => true)))

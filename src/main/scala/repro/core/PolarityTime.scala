@@ -28,63 +28,53 @@ object PolarityTime {
 
   /** Earliest arrival times `A(·)` for a query (avoiding `t`, per Algorithm 3 line 6). */
   def arrivals(g: TemporalGraph, q: TspgQuery): Array[Int] =
-    earliestArrivals(g, q.s, q.tauB, q.tauE, avoid = q.t, avoid2 = -1)._1
+    earliestArrivals(g, q.s, q.tauB, q.tauE, avoid = q.t, avoid2 = -1)
 
   /** Latest departure times `D(·)` for a query (avoiding `s`). */
   def departures(g: TemporalGraph, q: TspgQuery): Array[Int] =
-    latestDepartures(g, q.t, q.tauB, q.tauE, avoid = q.s, avoid2 = -1)._1
+    latestDepartures(g, q.t, q.tauB, q.tauE, avoid = q.s, avoid2 = -1)
 
   /** Earliest strict-ascending arrival from `source` within `[tauB, tauE]`, never
-    * entering `avoid` or `avoid2` (`-1` disables either), with the parent edge that
-    * set each label.
+    * entering `avoid` or `avoid2` (`-1` disables either).
     *
     * The paper uses `avoid = t`, so `A` only reflects paths not passing through the
     * target (Lemma 2's simple-path argument); EEV's per-seed gates add the seed's
-    * head as `avoid2`; workload generation avoids nothing. Following parents from any
-    * reached `u` back to `source` gives a path whose timestamps strictly ascend —
-    * hence a temporal *simple* path — arriving at `A(u)`.
+    * head as `avoid2`; workload generation avoids nothing.
     */
   def earliestArrivals(g: TemporalGraph, source: Int, tauB: Int, tauE: Int,
-                       avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
-    val a      = Array.fill(g.n)(NoArrival)
-    val parent = new Array[TEdge](g.n)
+                       avoid: Int, avoid2: Int): Array[Int] = {
+    val a = Array.fill(g.n)(NoArrival)
     a(source) = tauB - 1
     val es = g.edges
     var i  = firstAfter(es, tauB - 1)
     val hi = firstAfter(es, tauE)
     while (i < hi) {
       val e = es(i)
-      if (e.dst != avoid && e.dst != avoid2 && a(e.src) < e.ts && e.ts < a(e.dst)) {
+      if (e.dst != avoid && e.dst != avoid2 && a(e.src) < e.ts && e.ts < a(e.dst))
         a(e.dst) = e.ts
-        parent(e.dst) = e
-      }
       i += 1
     }
-    (a, parent)
+    a
   }
 
   /** Latest strict-ascending departure towards `target` within `[tauB, tauE]` — the
     * mirror of [[earliestArrivals]] (Algorithm 3 line 10): a descending scan, never
-    * leaving from `avoid` or `avoid2`. Following parents from any reached `v` forward
-    * to `target` gives a temporal simple path departing at `D(v)`.
+    * leaving from `avoid` or `avoid2`.
     */
   def latestDepartures(g: TemporalGraph, target: Int, tauB: Int, tauE: Int,
-                       avoid: Int, avoid2: Int): (Array[Int], Array[TEdge]) = {
-    val d      = Array.fill(g.n)(NoDeparture)
-    val parent = new Array[TEdge](g.n)
+                       avoid: Int, avoid2: Int): Array[Int] = {
+    val d = Array.fill(g.n)(NoDeparture)
     d(target) = tauE + 1
     val es = g.edges
     val lo = firstAfter(es, tauB - 1)
     var i  = firstAfter(es, tauE) - 1
     while (i >= lo) {
       val e = es(i)
-      if (e.src != avoid && e.src != avoid2 && d(e.src) < e.ts && e.ts < d(e.dst)) {
+      if (e.src != avoid && e.src != avoid2 && d(e.src) < e.ts && e.ts < d(e.dst))
         d(e.src) = e.ts
-        parent(e.src) = e
-      }
       i -= 1
     }
-    (d, parent)
+    d
   }
 
   /** Index of the first edge of the ts-sorted `es` with `ts > bound` (`es.length` if

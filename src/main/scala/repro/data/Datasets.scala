@@ -17,7 +17,8 @@ final case class PaperStats(nV: Long, nE: Long, nT: Long, d: Long, theta: Int)
   * @param nTs       timestamp-domain size |T| target
   * @param theta     default query-interval span (paper TABLE I, last column)
   * @param alpha     Zipf exponent for endpoint skew
-  * @param paper     the original dataset's statistics, for EXPERIMENTS.md
+  * @param paper     the original dataset's statistics, printed next to ours by the
+  *                  `bench/test` TABLE I suite
   */
 final case class DatasetSpec(id: String, paperId: String, n: Long, mTarget: Long,
                              nTs: Long, theta: Int, alpha: Double, seed: Long,

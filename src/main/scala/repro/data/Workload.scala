@@ -30,7 +30,7 @@ object Workload {
       val s    = sources(rng.nextInt(sources.length))
       val tauB = g.edges(rng.nextInt(g.m)).ts
       val tauE = tauB + theta - 1
-      val arr  = PolarityTime.earliestArrivals(g, s, tauB, tauE, avoid = -1, avoid2 = -1)._1
+      val arr  = PolarityTime.earliestArrivals(g, s, tauB, tauE, avoid = -1, avoid2 = -1)
       val reachable = (0 until g.n).filter(v => v != s && arr(v) != PolarityTime.NoArrival)
       if (reachable.nonEmpty) {
         val t = reachable(rng.nextInt(reachable.length))

@@ -111,20 +111,19 @@ class EevSpec extends SparkSpec {
       }
     }
 
-  // Force the budget-escalation path (per-seed avoidance gates) on every search and
-  // re-validate exactness, including on denser graphs where cross-conflict aborts and
-  // escalations actually fire.
+  // Force the budget-escalation path (per-seed avoidance gates, then the anchored
+  // search) on every search and re-validate exactness, including on the dense
+  // conflict-heavy graphs where cross-conflict aborts and escalations actually fire.
   for (seed <- 1 to 15)
     test(s"escalated search remains exact (random graph seed=$seed, budget=1)") {
-      val saved = Eev.searchBudget
-      Eev.searchBudget = 1L
-      try {
-        val g = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
-        Fixtures.randomQueries(g, seed + 31, 3, maxTs = 8).foreach { q =>
+      val sparse = Fixtures.randomGraph(seed * 53L, n = 12, m = 70, maxTs = 8)
+      val dense  = Fixtures.randomGraph(seed * 101L, n = 14, m = 90, maxTs = 9)
+      (Fixtures.randomQueries(sparse, seed + 31, 3, maxTs = 8).map(sparse -> _) ++
+        Fixtures.randomQueries(dense, seed + 47, 2, maxTs = 9).map(dense -> _)).foreach {
+        case (g, q) =>
           val gtr = TightUbg.compute(QuickUbg.compute(g, q), q)
-          assert(Eev(gtr, q) == TestRef.tspg(g, q), s"mismatch for $q")
-        }
-      } finally Eev.searchBudget = saved
+          assert(Eev.run(gtr, q, budget = 1L) == TestRef.tspg(g, q), s"mismatch for $q")
+      }
     }
 
   for (seed <- 1 to 10)
